@@ -6,7 +6,7 @@
 //! negligible for SpMM (which is why Figure 10 omits the "-default" bars).
 
 use asap_bench::{
-    cell_key, harmonic_mean, matrix_threads, parallel_map, run_spmm_budgeted, ExperimentResult,
+    auto_threads, cell_key, harmonic_mean, parallel_map, run_spmm_budgeted, ExperimentResult,
     Options, Variant, PAPER_DISTANCE, SPMM_COLS_F64,
 };
 use asap_ir::AsapError;
@@ -35,7 +35,7 @@ fn real_main() -> Result<(), AsapError> {
     let pf = PrefetcherConfig::optimized_spmm();
 
     // Per-matrix baseline/ASaP pairs simulate on pool workers.
-    let per_matrix = parallel_map(spmm_collection(opts.size), matrix_threads(1), |_, m| {
+    let per_matrix = parallel_map(spmm_collection(opts.size), auto_threads(), |_, m| {
         let tri = m.materialize();
         let b = ckpt.run_cell(
             &cell_key(&m.name, "spmm", Variant::Baseline.label(), "optimized", 1),

@@ -7,7 +7,10 @@
 //! count, peak relative gain at ~3 threads, with a slight leftward shift
 //! in intensity from the extra prefetch-issued memory traffic.
 
-use asap_bench::{run_spmv_threads, ExperimentResult, Options, Variant, PAPER_DISTANCE};
+use asap_bench::{
+    auto_threads, parallel_map, run_spmv_threads, ExperimentResult, Options, Variant,
+    PAPER_DISTANCE,
+};
 use asap_ir::AsapError;
 use asap_matrices::{synthetic_collection, GenSpec};
 use asap_sim::{GracemontConfig, PrefetcherConfig};
@@ -48,54 +51,55 @@ fn real_main() -> Result<(), AsapError> {
         "variant", "threads", "AI(F/B)", "GFLOP/s", "time(ms)", "speedup"
     );
 
-    // Deliberately serial: each run_spmv_threads call already spawns one
-    // host thread per simulated core with spin-synchronized clocks, so
-    // matrix-level pool workers must not wrap it (run_prepared_parallel
-    // rejects that nesting with a typed error).
-    let mut results: Vec<ExperimentResult> = Vec::new();
-    let mut base_gflops = [0.0f64; 9];
-    for v in [
+    // Every cell runs on a pool worker: a multi-core simulation's
+    // counters do not depend on the host threads it runs on, so the
+    // table is the same for any worker count.
+    let variants = [
         Variant::Baseline,
         Variant::Asap {
             distance: PAPER_DISTANCE,
         },
-    ] {
-        // `threads` doubles as thread count and speedup-table slot.
-        #[allow(clippy::needless_range_loop)]
-        for threads in 1..=8usize {
-            let r = run_spmv_threads(
-                &tri,
-                &m.name,
-                &m.group,
-                true,
-                v,
-                pf,
-                "optimized",
-                cfg,
-                threads,
-            )?;
-            let flops = 2.0 * r.nnz as f64;
-            let secs = cfg.cycles_to_seconds(r.cycles);
-            let gflops = flops / secs / 1e9;
-            let ai = flops / r.dram_bytes as f64;
-            let speedup = match v {
-                Variant::Baseline => {
-                    base_gflops[threads] = gflops;
-                    1.0
-                }
-                _ => gflops / base_gflops[threads],
-            };
-            println!(
-                "{:<9} {:>8} {:>12.4} {:>10.3} {:>12.2} {:>10.3}",
-                r.variant,
-                threads,
-                ai,
-                gflops,
-                secs * 1e3,
-                speedup
-            );
-            results.push(r);
-        }
+    ];
+    let cells: Vec<(Variant, usize)> = variants
+        .iter()
+        .flat_map(|&v| (1..=8usize).map(move |threads| (v, threads)))
+        .collect();
+    let results = parallel_map(cells, auto_threads(), |_, (v, threads)| {
+        run_spmv_threads(
+            &tri,
+            &m.name,
+            &m.group,
+            true,
+            v,
+            pf,
+            "optimized",
+            cfg,
+            threads,
+        )
+    })
+    .into_iter()
+    .collect::<Result<Vec<ExperimentResult>, AsapError>>()?;
+    let mut base_gflops = [0.0f64; 9];
+    for r in &results {
+        let flops = 2.0 * r.nnz as f64;
+        let secs = cfg.cycles_to_seconds(r.cycles);
+        let gflops = flops / secs / 1e9;
+        let ai = flops / r.dram_bytes as f64;
+        let speedup = if r.variant == Variant::Baseline.label() {
+            base_gflops[r.threads] = gflops;
+            1.0
+        } else {
+            gflops / base_gflops[r.threads]
+        };
+        println!(
+            "{:<9} {:>8} {:>12.4} {:>10.3} {:>12.2} {:>10.3}",
+            r.variant,
+            r.threads,
+            ai,
+            gflops,
+            secs * 1e3,
+            speedup
+        );
     }
     println!();
     println!("paper reference: ASaP above baseline throughout; peak gain (~28%) at 3 threads;");

@@ -7,7 +7,7 @@
 //! is roughly insensitive to the configuration; "Others" regresses (~0.8x).
 
 use asap_bench::{
-    cell_key, harmonic_mean, matrix_threads, parallel_map, run_spmv_budgeted, ExperimentResult,
+    auto_threads, cell_key, harmonic_mean, parallel_map, run_spmv_budgeted, ExperimentResult,
     Options, Variant, PAPER_DISTANCE,
 };
 use asap_ir::AsapError;
@@ -63,33 +63,28 @@ fn real_main() -> Result<(), AsapError> {
 
     // All four configs of one matrix run on the same pool worker; the
     // per-config throughput columns are reassembled in collection order.
-    let per_matrix = parallel_map(
-        synthetic_collection(opts.size),
-        matrix_threads(1),
-        |_, m| {
-            let tri = m.materialize();
-            let mut rows = Vec::with_capacity(configs.len());
-            for (label, v, pf) in &configs {
-                rows.push(ckpt.run_cell(
-                    &cell_key(&m.name, "spmv", v.label(), label, 1),
-                    || {
-                        run_spmv_budgeted(
-                            &tri,
-                            &m.name,
-                            &m.group,
-                            m.unstructured,
-                            *v,
-                            *pf,
-                            label,
-                            cfg,
-                            budget,
-                        )
-                    },
-                )?);
-            }
-            Ok::<_, AsapError>((m, rows))
-        },
-    );
+    let per_matrix = parallel_map(synthetic_collection(opts.size), auto_threads(), |_, m| {
+        let tri = m.materialize();
+        let mut rows = Vec::with_capacity(configs.len());
+        for (label, v, pf) in &configs {
+            rows.push(
+                ckpt.run_cell(&cell_key(&m.name, "spmv", v.label(), label, 1), || {
+                    run_spmv_budgeted(
+                        &tri,
+                        &m.name,
+                        &m.group,
+                        m.unstructured,
+                        *v,
+                        *pf,
+                        label,
+                        cfg,
+                        budget,
+                    )
+                })?,
+            );
+        }
+        Ok::<_, AsapError>((m, rows))
+    });
 
     // throughput[config][matrix index]
     let mut thr: BTreeMap<&str, Vec<f64>> = BTreeMap::new();

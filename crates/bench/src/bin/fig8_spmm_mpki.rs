@@ -6,7 +6,7 @@
 //! regression line starting near 1.0.
 
 use asap_bench::{
-    cell_key, linear_fit, matrix_threads, parallel_map_isolated_labeled, skip_report, JobFailure,
+    auto_threads, cell_key, linear_fit, parallel_map_isolated_labeled, skip_report, JobFailure,
     Options, Variant, PAPER_DISTANCE, SPMM_COLS_F64,
 };
 use asap_ir::AsapError;
@@ -49,7 +49,7 @@ fn real_main() -> Result<(), AsapError> {
     // collection order afterwards.
     let per_matrix = parallel_map_isolated_labeled(
         spmm_collection(opts.size),
-        matrix_threads(1),
+        auto_threads(),
         2,
         |m, _| m.name.clone(),
         |_, m| {

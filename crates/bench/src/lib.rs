@@ -17,8 +17,8 @@ pub use checkpoint::{cell_key, Checkpoint};
 pub use cli::{linear_fit, Options, UsageError};
 pub use ews::{ews_speedup, harmonic_mean};
 pub use pool::{
-    auto_threads, in_worker, matrix_threads, parallel_map, parallel_map_isolated,
-    parallel_map_isolated_labeled, skip_report, JobFailure,
+    auto_threads, parallel_map, parallel_map_isolated, parallel_map_isolated_labeled, skip_report,
+    JobFailure,
 };
 pub use predict::{aj_coverage, predict_asap_over_aj, predicted_advantage};
 pub use run::{

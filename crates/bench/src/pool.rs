@@ -7,32 +7,16 @@
 //! atomic counter, writing results into their input's slot — with no
 //! channels, no rayon, no allocation beyond the result vector.
 //!
-//! Composition with the simulator's own multi-core mode (Figure 12) is
-//! the subtle part: `asap_sim::run_parallel` spawns one OS thread per
-//! simulated core and spin-synchronizes their clocks. Nesting that inside
-//! a matrix-level worker oversubscribes the host and deadlock-prone
-//! spinners crawl. The pool therefore marks its workers with a
-//! thread-local flag ([`in_worker`]); [`matrix_threads`] collapses to 1
-//! whenever the per-matrix simulation itself is multi-threaded, and the
-//! bench runner refuses the remaining misuse with a typed error.
+//! A cell may itself be a multi-core simulation (Figure 12): its
+//! per-core producer threads only block on bounded channels while the
+//! calling thread schedules them, so such cells nest inside pool workers
+//! like any other, and their counters do not depend on where they run.
 
-use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-thread_local! {
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True on a [`parallel_map`] worker thread (including nested calls on
-/// that thread). The bench runner uses this to reject simulated-core
-/// parallelism from inside a matrix-level worker.
-pub fn in_worker() -> bool {
-    IN_WORKER.with(|f| f.get())
-}
 
 /// Matrix-level worker count: the `ASAP_BENCH_THREADS` environment
 /// variable when set (clamped to at least 1), otherwise the machine's
@@ -48,23 +32,9 @@ pub fn auto_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Thread budget for a matrix sweep whose per-matrix simulation spawns
-/// `sim_threads` simulated cores. Multi-core simulations keep the sweep
-/// serial (the cores already use the host's parallelism, and their clock
-/// synchronization must not share cores with other work); single-core
-/// simulations sweep with [`auto_threads`] workers.
-pub fn matrix_threads(sim_threads: usize) -> usize {
-    if sim_threads > 1 || in_worker() {
-        1
-    } else {
-        auto_threads()
-    }
-}
-
 /// Apply `f` to every item on up to `threads` worker threads, returning
 /// the results in input order. `f` receives `(index, item)`. With one
-/// thread (or zero/one items) everything runs on the calling thread and
-/// no workers are marked.
+/// thread (or zero/one items) everything runs on the calling thread.
 ///
 /// A panicking `f` propagates the panic to the caller after the scope
 /// joins — same behaviour as the serial loop it replaces.
@@ -89,25 +59,22 @@ where
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads.min(n) {
-            s.spawn(|| {
-                IN_WORKER.with(|flag| flag.set(true));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // Each index is claimed exactly once, so the lock is
-                    // uncontended; a poisoned slot means another worker
-                    // panicked mid-item and the scope is unwinding anyway.
-                    let item = match slots[i].lock() {
-                        Ok(mut s) => s.0.take(),
-                        Err(_) => None,
-                    };
-                    let Some(item) = item else { continue };
-                    let r = f(i, item);
-                    if let Ok(mut s) = slots[i].lock() {
-                        s.1 = Some(r);
-                    }
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                // Each index is claimed exactly once, so the lock is
+                // uncontended; a poisoned slot means another worker
+                // panicked mid-item and the scope is unwinding anyway.
+                let item = match slots[i].lock() {
+                    Ok(mut s) => s.0.take(),
+                    Err(_) => None,
+                };
+                let Some(item) = item else { continue };
+                let r = f(i, item);
+                if let Ok(mut s) = slots[i].lock() {
+                    s.1 = Some(r);
                 }
             });
         }
@@ -283,23 +250,6 @@ mod tests {
         let a = parallel_map((0..17).collect::<Vec<i64>>(), 1, |_, x| x * x);
         let b = parallel_map((0..17).collect::<Vec<i64>>(), 4, |_, x| x * x);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn workers_are_marked_and_caller_is_not() {
-        assert!(!in_worker());
-        let flags = parallel_map(vec![(); 8], 4, |_, ()| in_worker());
-        assert!(flags.iter().all(|&w| w), "all items ran on marked workers");
-        assert!(!in_worker(), "the calling thread stays unmarked");
-    }
-
-    #[test]
-    fn matrix_threads_collapses_under_sim_parallelism() {
-        assert_eq!(matrix_threads(4), 1);
-        assert!(matrix_threads(1) >= 1);
-        // Inside a worker, nested sweeps stay serial regardless.
-        let nested = parallel_map(vec![(); 2], 2, |_, ()| matrix_threads(1));
-        assert_eq!(nested, vec![1, 1]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl Variant {
 }
 
 /// One experiment's outcome, serializable for EXPERIMENTS.md tooling.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
     pub matrix: String,
     pub group: String,
@@ -465,69 +465,36 @@ struct Prepared {
     args: Vec<V>,
 }
 
-/// Run prepared per-thread kernels on the shared-uncore simulator,
-/// propagating the first interpreter trap instead of panicking inside
-/// the worker closure.
-///
-/// Thread-count handling: `n_threads` must equal the number of prepared
-/// slots (one simulated core per row partition — anything else would
-/// leave cores spinning on the clock barrier with no work, or index out
-/// of range), and a multi-core simulation must not be launched from
-/// inside a [`crate::pool`] matrix-level worker: the simulated cores
-/// spin-synchronize their clocks and oversubscribing the host with
-/// nested parallelism stalls them. Both misuses are typed errors.
+/// Run prepared per-core kernels on the multi-core simulator, one core
+/// per partition, propagating the first interpreter trap (in core order)
+/// instead of panicking inside the producer. `n_threads` must equal the
+/// number of prepared partitions; anything else is a typed error.
 fn run_prepared_parallel(
     cfg: GracemontConfig,
     pf: PrefetcherConfig,
     n_threads: usize,
     prepared: Vec<std::sync::Mutex<Option<Prepared>>>,
-) -> Result<(asap_sim::MulticoreResult, u64), AsapError> {
+) -> Result<asap_sim::MulticoreResult, AsapError> {
     if n_threads == 0 || n_threads != prepared.len() {
         return Err(AsapError::binding(format!(
             "multicore run: {n_threads} simulated cores for {} prepared partitions",
             prepared.len()
         )));
     }
-    if n_threads > 1 && crate::pool::in_worker() {
-        return Err(AsapError::binding(
-            "multicore simulation cannot run inside a matrix-level worker thread; \
-             use pool::matrix_threads(n_threads) to keep multi-core sweeps serial",
-        ));
-    }
-    let total_dram = std::sync::atomic::AtomicU64::new(0);
-    let errors: std::sync::Mutex<Vec<AsapError>> = std::sync::Mutex::new(Vec::new());
-    let result = run_parallel(cfg, pf, n_threads, |tid, machine| {
+    run_parallel(cfg, pf, n_threads, |tid, model| {
         // invariant: each tid owns exactly one slot, taken exactly once;
         // a poisoned lock can only follow a panic elsewhere, so treat it
         // as "nothing to run" rather than panicking again.
         let Some(mut p) = prepared[tid].lock().ok().and_then(|mut s| s.take()) else {
-            return;
+            return Ok(());
         };
         // Same engine dispatch as asap_core::run_with_engine(Auto).
-        let ran = match &p.ck.program {
-            Some(prog) => execute(prog, &p.args, &mut p.bufs, machine),
-            None => interpret(&p.ck.kernel.func, &p.args, &mut p.bufs, machine),
-        };
-        if let Err(e) = ran {
-            if let Ok(mut errs) = errors.lock() {
-                errs.push(e.into());
-            }
-            return;
+        match &p.ck.program {
+            Some(prog) => execute(prog, &p.args, &mut p.bufs, model).map(drop),
+            None => interpret(&p.ck.kernel.func, &p.args, &mut p.bufs, model).map(drop),
         }
-        total_dram.store(
-            machine.dram_bytes_total(),
-            std::sync::atomic::Ordering::Relaxed,
-        );
-    });
-    if let Some(e) = errors
-        .into_inner()
-        .ok()
-        .and_then(|mut v| v.drain(..).next())
-    {
-        return Err(e);
-    }
-    let dram = total_dram.load(std::sync::atomic::Ordering::Relaxed);
-    Ok((result, dram))
+        .map_err(AsapError::from)
+    })
 }
 
 /// Multi-threaded SpMV: contiguous row partitions of roughly equal nnz,
@@ -576,7 +543,7 @@ pub fn run_spmv_threads(
     }
 
     let nnz = tri.nnz();
-    let (result, dram) = run_prepared_parallel(cfg, pf, n_threads, prepared)?;
+    let result = run_prepared_parallel(cfg, pf, n_threads, prepared)?;
     Ok(result_from(
         name,
         group,
@@ -588,7 +555,7 @@ pub fn run_spmv_threads(
         nnz,
         &cfg,
         result.aggregate,
-        dram.max(result.dram_bytes),
+        result.dram_bytes,
         warnings,
     ))
 }
@@ -644,7 +611,7 @@ pub fn run_spmm_threads(
     }
 
     let nnz = tri.nnz();
-    let (result, dram) = run_prepared_parallel(cfg, pf, n_threads, prepared)?;
+    let result = run_prepared_parallel(cfg, pf, n_threads, prepared)?;
     Ok(result_from(
         name,
         group,
@@ -656,7 +623,7 @@ pub fn run_spmm_threads(
         nnz,
         &cfg,
         result.aggregate,
-        dram.max(result.dram_bytes),
+        result.dram_bytes,
         warnings,
     ))
 }
@@ -855,29 +822,6 @@ mod tests {
         assert_eq!(r.threads, 4);
         assert_eq!(r.nnz, tri.nnz()); // threaded path reports input nnz
         assert!(r.cycles > 0);
-    }
-
-    #[test]
-    fn multicore_inside_pool_worker_is_a_typed_error() {
-        let tri = gen::erdos_renyi(512, 4, 2);
-        let outcomes = crate::pool::parallel_map(vec![0, 1], 2, |_, _| {
-            run_spmv_threads(
-                &tri,
-                "er",
-                "g",
-                true,
-                Variant::Baseline,
-                PrefetcherConfig::all_off(),
-                "off",
-                cfg(),
-                2,
-            )
-        });
-        for out in outcomes {
-            let err = out.expect_err("nested multicore must be rejected");
-            assert_eq!(err.kind(), "binding");
-            assert!(err.to_string().contains("matrix-level worker"), "{err}");
-        }
     }
 
     #[test]

@@ -10,11 +10,11 @@
 /// The DRAM controller shared by all cores.
 ///
 /// The slot chain advances by `line_interval` per transfer but is allowed
-/// to lag at most `burst_lines` transfers behind the requester's clock.
-/// This bounds queueing to actual bandwidth oversubscription: in
-/// multi-core runs the cores' local clocks are only loosely synchronized,
-/// and without the bound a fast core's clock would ratchet the slot chain
-/// forward and spuriously serialize every other core at full latency.
+/// to lag at most `burst_window` cycles behind the requester's clock.
+/// Bandwidth left idle within that window absorbs a later burst without
+/// queueing; idle time further back cannot be banked, so a burst after a
+/// long quiet phase still queues once it exceeds the window's share of
+/// bandwidth.
 #[derive(Debug, Clone)]
 pub struct Dram {
     latency: u64,
@@ -25,9 +25,13 @@ pub struct Dram {
     pub lines_transferred: u64,
 }
 
-/// Burst headroom in cycles. Must exceed the multi-core clock-sync
-/// quantum (see `multicore::ClockSync`) so that bounded cross-core clock
-/// skew never masquerades as bandwidth backlog.
+/// Burst headroom in cycles (at least 64 line intervals). In multi-core
+/// runs the scheduler hands the controller requests in `(clock, core)`
+/// order, except that a core's clock can run ahead within one event (a
+/// page walk or an MSHR wait before its uncore access); skew shorter
+/// than the window does not register as backlog for the other cores. The
+/// value is part of the calibrated timing model: the single-core golden
+/// counters depend on it.
 const BURST_WINDOW_CYCLES: u64 = 1024;
 
 impl Dram {

@@ -32,6 +32,6 @@ pub use dram::Dram;
 pub use hwpf::{Amp, FillLevel, Ipp, NextLine, PfRequest, Streamer};
 pub use machine::{Machine, Uncore};
 pub use mshr::{Alloc, Mshr};
-pub use multicore::{run_parallel, ClockSync, MulticoreResult};
+pub use multicore::{run_parallel, MulticoreResult, Recorder};
 pub use report::{summarize, Rates};
 pub use tlb::{Tlb, TlbConfig};

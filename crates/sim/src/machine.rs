@@ -21,15 +21,12 @@ use crate::counters::Counters;
 use crate::dram::Dram;
 use crate::hwpf::{Amp, FillLevel, Ipp, NextLine, PfRequest, Streamer};
 use crate::mshr::{Alloc, Mshr};
-use crate::multicore::ClockSync;
 use crate::tlb::Tlb;
 use asap_ir::{MemoryModel, OpId};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// The shared part of the hierarchy: L3 and the DRAM controller (plus the
-/// LLC streamer, which observes L3 traffic). One per machine; shared by
-/// all cores in multi-core runs.
+/// LLC streamer, which observes L3 traffic). One per machine; in
+/// multi-core runs the scheduler lends it to one core at a time.
 #[derive(Debug)]
 pub struct Uncore {
     pub l3: Cache,
@@ -48,11 +45,6 @@ impl Uncore {
             llc_enabled: pf.llc_streamer,
             l3_latency: cfg.l3.latency,
         }
-    }
-
-    /// Shared uncore for a multi-core run.
-    pub fn shared(cfg: &GracemontConfig, pf: &PrefetcherConfig) -> Arc<Mutex<Uncore>> {
-        Arc::new(Mutex::new(Uncore::new(cfg, pf)))
     }
 
     fn handle_eviction(&mut self, ev: Option<Evicted>, now: u64, ctr: &mut Counters) {
@@ -127,11 +119,70 @@ impl Uncore {
     }
 }
 
-/// One simulated core with private L1/L2, attached to a (possibly shared)
-/// [`Uncore`]. Implements [`MemoryModel`] so it can be plugged straight
-/// into the IR interpreter.
+/// A single-core machine: one [`Core`] and the [`Uncore`] it owns.
+/// Implements [`MemoryModel`] so it can be plugged straight into the IR
+/// interpreter.
 #[derive(Debug)]
 pub struct Machine {
+    core: Core,
+    uncore: Uncore,
+}
+
+impl Machine {
+    pub fn new(cfg: GracemontConfig, pf: PrefetcherConfig) -> Machine {
+        Machine {
+            core: Core::new(cfg, pf),
+            uncore: Uncore::new(&cfg, &pf),
+        }
+    }
+
+    pub fn counters(&self) -> Counters {
+        self.core.counters()
+    }
+
+    pub fn cycles(&self) -> u64 {
+        self.core.cycles()
+    }
+
+    pub fn config(&self) -> &GracemontConfig {
+        &self.core.cfg
+    }
+
+    /// Total DRAM traffic of the whole machine (all cores + prefetchers),
+    /// in bytes — the roofline denominator.
+    pub fn dram_bytes_total(&self) -> u64 {
+        self.uncore.dram.bytes_transferred()
+    }
+}
+
+impl MemoryModel for Machine {
+    fn load(&mut self, pc: OpId, addr: u64, _bytes: u8) {
+        self.core.demand(&mut self.uncore, pc, addr, false);
+    }
+
+    fn store(&mut self, pc: OpId, addr: u64, _bytes: u8) {
+        self.core.demand(&mut self.uncore, pc, addr, true);
+    }
+
+    fn prefetch(&mut self, _pc: OpId, addr: u64, locality: u8, _write: bool) {
+        self.core.sw_prefetch(&mut self.uncore, addr, locality);
+    }
+
+    fn retire(&mut self, n: u64) {
+        self.core.bump_instr(n);
+    }
+
+    fn retire_fp(&mut self, n: u64) {
+        self.core.retire_fp(n);
+    }
+}
+
+/// One simulated core's private state: L1/L2, their MSHRs, the core-side
+/// hardware prefetchers, the TLB and the counters. Every access that
+/// leaves L2 goes to the [`Uncore`] passed in, so the same code serves a
+/// [`Machine`] and the multi-core scheduler.
+#[derive(Debug)]
+pub(crate) struct Core {
     cfg: GracemontConfig,
     pf: PrefetcherConfig,
     cycles: u64,
@@ -140,7 +191,6 @@ pub struct Machine {
     l2: Cache,
     l1_mshr: Mshr,
     l2_mshr: Mshr,
-    uncore: Arc<Mutex<Uncore>>,
     ipp: Ipp,
     l1_nlp: NextLine,
     l2_nlp: NextLine,
@@ -149,33 +199,15 @@ pub struct Machine {
     hw_queue: Vec<PfRequest>,
     tlb: Tlb,
     ctr: Counters,
-    /// Multi-core conservative clock sync (core id, shared clocks).
-    sync: Option<(Arc<ClockSync>, usize)>,
-    /// Simulated-cycle ceiling: when local cycles pass the cap, the
-    /// shared cancellation token is raised so the governing
-    /// [`asap_ir::Budget`] traps the run at its next poll.
-    cycle_cap: Option<(u64, Arc<AtomicBool>)>,
 }
 
-impl Machine {
-    /// A single-core machine with its own uncore.
-    pub fn new(cfg: GracemontConfig, pf: PrefetcherConfig) -> Machine {
-        let uncore = Uncore::shared(&cfg, &pf);
-        Machine::with_uncore(cfg, pf, uncore)
-    }
-
-    /// A core sharing `uncore` with other cores (multi-threaded runs).
-    pub fn with_uncore(
-        cfg: GracemontConfig,
-        pf: PrefetcherConfig,
-        uncore: Arc<Mutex<Uncore>>,
-    ) -> Machine {
-        Machine {
+impl Core {
+    pub(crate) fn new(cfg: GracemontConfig, pf: PrefetcherConfig) -> Core {
+        Core {
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
             l1_mshr: Mshr::new(cfg.l1_mshrs),
             l2_mshr: Mshr::new(cfg.l2_mshrs),
-            uncore,
             ipp: Ipp::new(2),
             l1_nlp: NextLine::new(FillLevel::L1),
             l2_nlp: NextLine::new(FillLevel::L2),
@@ -186,79 +218,33 @@ impl Machine {
             cycles: 0,
             instr_rem: 0,
             ctr: Counters::default(),
-            sync: None,
-            cycle_cap: None,
             cfg,
             pf,
         }
     }
 
-    /// Govern this core by a simulated-cycle ceiling. The machine cannot
-    /// trap out of a [`MemoryModel`] callback itself (the trait is
-    /// infallible by design — timing never changes semantics), so
-    /// crossing the cap raises `cancel` instead; the interpreter's
-    /// budget meter observes the token and stops the run with a typed
-    /// `Cancelled` trap. With a shared token, one core crossing its cap
-    /// winds down every core of a multi-core run.
-    pub fn set_cycle_cap(&mut self, max_cycles: u64, cancel: Arc<AtomicBool>) {
-        self.cycle_cap = Some((max_cycles, cancel));
-    }
-
-    #[inline]
-    fn check_cycle_cap(&self) {
-        if let Some((cap, tok)) = &self.cycle_cap {
-            if self.cycles > *cap {
-                tok.store(true, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Participate in a multi-core run: bound this core's clock skew
-    /// against its peers before every shared-uncore access.
-    pub fn attach_clock_sync(&mut self, sync: Arc<ClockSync>, core_id: usize) {
-        self.sync = Some((sync, core_id));
-    }
-
-    /// Publish the local clock; block if running too far ahead of peers.
-    fn sync_uncore(&self) {
-        if let Some((s, id)) = &self.sync {
-            s.wait_turn(*id, self.cycles);
-        }
-    }
-
-    pub fn counters(&self) -> Counters {
+    pub(crate) fn counters(&self) -> Counters {
         let mut c = self.ctr;
         c.cycles = self.cycles;
         c
     }
 
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         self.cycles
     }
 
-    pub fn config(&self) -> &GracemontConfig {
-        &self.cfg
-    }
-
-    /// Total DRAM traffic of the whole machine (all cores + prefetchers),
-    /// in bytes — the roofline denominator.
-    pub fn dram_bytes_total(&self) -> u64 {
-        self.uncore
-            .lock()
-            .expect("uncore lock")
-            .dram
-            .bytes_transferred()
-    }
-
-    fn bump_instr(&mut self, n: u64) {
+    /// `n` non-memory instructions retire at `ipc_base`.
+    pub(crate) fn bump_instr(&mut self, n: u64) {
         self.ctr.instructions += n;
         self.instr_rem += n;
         self.cycles += self.instr_rem / self.cfg.ipc_base;
         self.instr_rem %= self.cfg.ipc_base;
-        self.check_cycle_cap();
-        if let Some((s, id)) = &self.sync {
-            s.publish(*id, self.cycles);
-        }
+    }
+
+    /// `n` floating-point instructions, each on the `fp_op_cycles` chain.
+    pub(crate) fn retire_fp(&mut self, n: u64) {
+        self.ctr.instructions += n;
+        self.cycles += n * self.cfg.fp_op_cycles;
     }
 
     fn stall_until(&mut self, available: u64) {
@@ -269,11 +255,10 @@ impl Machine {
             let stall = (available - hidden).div_ceil(self.cfg.mlp_width);
             self.cycles += stall;
             self.ctr.stall_cycles += stall;
-            self.check_cycle_cap();
         }
     }
 
-    fn handle_l1_eviction(&mut self, ev: Option<Evicted>) {
+    fn handle_l1_eviction(&mut self, uncore: &mut Uncore, ev: Option<Evicted>) {
         if let Some(e) = ev {
             if e.unused_prefetch {
                 self.ctr.pf_unused_evictions += 1;
@@ -283,29 +268,19 @@ impl Machine {
                 if self.l2.peek(e.line_addr).is_some() {
                     self.l2.mark_dirty(e.line_addr);
                 } else {
-                    let now = self.cycles;
-                    self.uncore.lock().expect("uncore lock").writeback_from_l2(
-                        e.line_addr,
-                        now,
-                        &mut self.ctr,
-                    );
+                    uncore.writeback_from_l2(e.line_addr, self.cycles, &mut self.ctr);
                 }
             }
         }
     }
 
-    fn handle_l2_eviction(&mut self, ev: Option<Evicted>) {
+    fn handle_l2_eviction(&mut self, uncore: &mut Uncore, ev: Option<Evicted>) {
         if let Some(e) = ev {
             if e.unused_prefetch {
                 self.ctr.pf_unused_evictions += 1;
             }
             if e.dirty {
-                let now = self.cycles;
-                self.uncore.lock().expect("uncore lock").writeback_from_l2(
-                    e.line_addr,
-                    now,
-                    &mut self.ctr,
-                );
+                uncore.writeback_from_l2(e.line_addr, self.cycles, &mut self.ctr);
             }
         }
     }
@@ -320,7 +295,13 @@ impl Machine {
     /// the hardware streamer trains on all L1D requests — otherwise an
     /// enabled L1 NLP would hide the stream from the streamer entirely.
     /// L2-level prefetch fills do not train it (no self-feedback).
-    fn fetch_to_l2(&mut self, line: u64, demand: bool, from_l1: bool) -> Option<u64> {
+    fn fetch_to_l2(
+        &mut self,
+        uncore: &mut Uncore,
+        line: u64,
+        demand: bool,
+        from_l1: bool,
+    ) -> Option<u64> {
         match self.l2.probe(line, demand) {
             Probe::Hit { ready } => {
                 if demand {
@@ -364,25 +345,17 @@ impl Machine {
                         Alloc::Ok => break,
                     }
                 }
-                self.sync_uncore();
-                let now = self.cycles;
-                let avail = self.uncore.lock().expect("uncore lock").access(
-                    line,
-                    now,
-                    demand,
-                    from_l1,
-                    &mut self.ctr,
-                );
+                let avail = uncore.access(line, self.cycles, demand, from_l1, &mut self.ctr);
                 self.l2_mshr.insert(line, avail);
                 let ev = self.l2.install(line, avail, !demand);
-                self.handle_l2_eviction(ev);
+                self.handle_l2_eviction(uncore, ev);
                 Some(avail)
             }
         }
     }
 
     /// The demand-access path (loads and stores).
-    fn demand(&mut self, pc: OpId, addr: u64, is_store: bool) {
+    pub(crate) fn demand(&mut self, uncore: &mut Uncore, pc: OpId, addr: u64, is_store: bool) {
         self.bump_instr(1);
         // Address translation: a page walk stalls the access up front.
         let walk = self.tlb.access(addr);
@@ -421,11 +394,11 @@ impl Machine {
                     self.ctr.stall_cycles += stall;
                 }
                 let avail = self
-                    .fetch_to_l2(line, true, true)
+                    .fetch_to_l2(uncore, line, true, true)
                     .expect("demand fetch is never dropped");
                 self.l1_mshr.insert(line, avail);
                 let ev = self.l1.install(line, avail, false);
-                self.handle_l1_eviction(ev);
+                self.handle_l1_eviction(uncore, ev);
                 if is_store {
                     self.l1.mark_dirty(line);
                 } else {
@@ -433,14 +406,14 @@ impl Machine {
                 }
             }
         }
-        self.drain_hw_queue();
+        self.drain_hw_queue(uncore);
     }
 
     /// Software prefetch: never stalls; fills L2 (locality ≤ 2) or L1
     /// (locality 3); dropped when no MSHR is free. Prefetch instructions
     /// retire without consuming pipeline slots (they issue to a load port
     /// and complete asynchronously).
-    fn sw_prefetch(&mut self, addr: u64, locality: u8) {
+    pub(crate) fn sw_prefetch(&mut self, uncore: &mut Uncore, addr: u64, locality: u8) {
         self.ctr.instructions += 1;
         self.ctr.sw_pf_issued += 1;
         let line = line_of(addr);
@@ -461,28 +434,20 @@ impl Machine {
                 self.ctr.sw_pf_dropped += 1;
             }
             Alloc::Ok => {
-                self.sync_uncore();
-                let now = self.cycles;
-                let avail = self.uncore.lock().expect("uncore lock").access(
-                    line,
-                    now,
-                    false,
-                    false,
-                    &mut self.ctr,
-                );
+                let avail = uncore.access(line, self.cycles, false, false, &mut self.ctr);
                 self.l2_mshr.insert(line, avail);
                 let ev = self.l2.install(line, avail, true);
-                self.handle_l2_eviction(ev);
+                self.handle_l2_eviction(uncore, ev);
                 if to_l1 {
                     let ev = self.l1.install(line, avail, true);
-                    self.handle_l1_eviction(ev);
+                    self.handle_l1_eviction(uncore, ev);
                 }
             }
         }
     }
 
     /// Drain hardware-prefetcher requests generated by the last access.
-    fn drain_hw_queue(&mut self) {
+    fn drain_hw_queue(&mut self, uncore: &mut Uncore) {
         if self.hw_queue.is_empty() {
             return;
         }
@@ -499,11 +464,11 @@ impl Machine {
                         self.ctr.hw_pf_dropped += 1;
                         continue;
                     }
-                    match self.fetch_to_l2(r.line, false, true) {
+                    match self.fetch_to_l2(uncore, r.line, false, true) {
                         Some(avail) => {
                             self.l1_mshr.insert(r.line, avail);
                             let ev = self.l1.install(r.line, avail, true);
-                            self.handle_l1_eviction(ev);
+                            self.handle_l1_eviction(uncore, ev);
                         }
                         None => self.ctr.hw_pf_dropped += 1,
                     }
@@ -513,39 +478,12 @@ impl Machine {
                         self.ctr.hw_pf_redundant += 1;
                         continue;
                     }
-                    if self.fetch_to_l2(r.line, false, false).is_none() {
+                    if self.fetch_to_l2(uncore, r.line, false, false).is_none() {
                         self.ctr.hw_pf_dropped += 1;
                     }
                 }
                 FillLevel::L3 => unreachable!("L3 prefetches are handled in the uncore"),
             }
-        }
-    }
-}
-
-impl MemoryModel for Machine {
-    fn load(&mut self, pc: OpId, addr: u64, _bytes: u8) {
-        self.demand(pc, addr, false);
-    }
-
-    fn store(&mut self, pc: OpId, addr: u64, _bytes: u8) {
-        self.demand(pc, addr, true);
-    }
-
-    fn prefetch(&mut self, _pc: OpId, addr: u64, locality: u8, _write: bool) {
-        self.sw_prefetch(addr, locality);
-    }
-
-    fn retire(&mut self, n: u64) {
-        self.bump_instr(n);
-    }
-
-    fn retire_fp(&mut self, n: u64) {
-        self.ctr.instructions += n;
-        self.cycles += n * self.cfg.fp_op_cycles;
-        self.check_cycle_cap();
-        if let Some((s, id)) = &self.sync {
-            s.publish(*id, self.cycles);
         }
     }
 }
@@ -768,32 +706,6 @@ mod tests {
         let base = run(crate::tlb::TlbConfig::base_pages());
         assert!(base.tlb_misses > 100 * huge.tlb_misses.max(1));
         assert!(base.cycles > huge.cycles, "walks must cost time");
-    }
-
-    #[test]
-    fn cycle_cap_raises_the_cancel_token() {
-        let mut m = machine();
-        let tok = Arc::new(AtomicBool::new(false));
-        m.set_cycle_cap(1_000, tok.clone());
-        // Cheap work stays under the cap.
-        m.retire(300);
-        assert!(!tok.load(Ordering::Relaxed));
-        // DRAM misses blow past it.
-        for i in 0..64u64 {
-            m.load(OpId(1), 0x700000 + i * 4096, 8);
-        }
-        assert!(m.cycles() > 1_000);
-        assert!(tok.load(Ordering::Relaxed), "cap crossing must cancel");
-    }
-
-    #[test]
-    fn uncapped_machine_never_touches_the_token() {
-        let mut m = machine();
-        for i in 0..64u64 {
-            m.load(OpId(1), 0x700000 + i * 4096, 8);
-        }
-        // No cap configured: nothing to observe, nothing raised.
-        assert!(m.counters().cycles > 0);
     }
 
     #[test]

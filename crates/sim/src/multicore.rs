@@ -2,102 +2,90 @@
 //! [`Uncore`] (L3 + DRAM bandwidth), as in the paper's Figure 12 roofline
 //! experiment.
 //!
-//! Cores run in OS threads, each with its own local clock; shared-resource
-//! contention (DRAM slots, L3 content) is mediated through the uncore
-//! mutex. Cross-core timestamps are therefore approximate for asymmetric
-//! workloads but sound for the symmetric row-partitioned kernels the
-//! experiment uses (see DESIGN.md).
+//! Timing never feeds back into functional execution, so each core's
+//! timing is a pure function of its event stream. Each core's work
+//! therefore runs on its own scoped thread against a [`Recorder`], which
+//! ships the core's [`MemoryModel`] events in fixed-size chunks over a
+//! bounded channel. One scheduler, on the calling thread, owns every
+//! core's private state and the uncore, and applies events in
+//! `(clock, core_id)` order: always the next event of the core with the
+//! smallest clock, ties to the lower id, blocking on that core's channel
+//! when its next chunk has not arrived. The interleaving, and with it
+//! every counter, is the same on every run and for any host thread count.
 
 use crate::config::{GracemontConfig, PrefetcherConfig};
 use crate::counters::Counters;
-use crate::machine::{Machine, Uncore};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::machine::{Core, Uncore};
+use asap_ir::{MemoryModel, OpId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
-/// Conservative clock synchronization for multi-core runs.
-///
-/// Each core publishes its local simulated clock; before touching shared
-/// state (the uncore) a core waits until it is no more than `quantum`
-/// cycles ahead of the slowest active core. This bounds cross-core clock
-/// skew so that shared-resource timestamps (DRAM slots, L3 fills) are
-/// meaningful, without requiring lockstep execution.
-///
-/// An optional cancellation token (shared with the run's
-/// [`asap_ir::Budget`]) keeps the wait loop from wedging: when a peer
-/// core traps out of its run — budget exhaustion, interpreter fault —
-/// it may never advance its clock again, and without the token every
-/// other core would spin in [`wait_turn`](ClockSync::wait_turn)
-/// forever.
-#[derive(Debug)]
-pub struct ClockSync {
-    clocks: Vec<AtomicU64>,
-    quantum: u64,
-    cancel: Option<Arc<AtomicBool>>,
+/// One [`MemoryModel`] call, as recorded by a producer.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Load { pc: OpId, addr: u64 },
+    Store { pc: OpId, addr: u64 },
+    Prefetch { addr: u64, locality: u8 },
+    Retire(u64),
+    RetireFp(u64),
 }
 
-impl ClockSync {
-    /// Default skew bound, in cycles. Kept below the DRAM burst window so
-    /// residual skew cannot register as bandwidth backlog.
-    pub const DEFAULT_QUANTUM: u64 = 256;
+/// Events per chunk.
+const CHUNK_EVENTS: usize = 2048;
+/// Full chunks a core's channel buffers before its producer blocks.
+const CHANNEL_DEPTH: usize = 4;
+// Per core, one chunk is being filled and one is being applied besides
+// the buffered ones: at 8 cores at most 2 MiB of events are in flight.
+const _: () =
+    assert!(8 * (CHANNEL_DEPTH + 2) * CHUNK_EVENTS * std::mem::size_of::<Event>() <= 2 << 20);
 
-    pub fn new(n_cores: usize, quantum: u64) -> Arc<ClockSync> {
-        ClockSync::with_cancel(n_cores, quantum, None)
-    }
+/// The producer side of a multi-core run: a [`MemoryModel`] that records
+/// one core's events into chunks for the scheduler.
+#[derive(Debug)]
+pub struct Recorder {
+    chunk: Vec<Event>,
+    tx: SyncSender<Vec<Event>>,
+}
 
-    /// A clock sync whose wait loop observes `cancel`: once the token is
-    /// set, waiting cores stop gating on their peers and return.
-    pub fn with_cancel(
-        n_cores: usize,
-        quantum: u64,
-        cancel: Option<Arc<AtomicBool>>,
-    ) -> Arc<ClockSync> {
-        Arc::new(ClockSync {
-            clocks: (0..n_cores).map(|_| AtomicU64::new(0)).collect(),
-            quantum,
-            cancel,
-        })
-    }
-
-    /// Whether the run has been cancelled (always false without a token).
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
-    /// Publish core `id`'s current clock (cheap; called on retire).
-    pub fn publish(&self, id: usize, now: u64) {
-        self.clocks[id].store(now, Ordering::Relaxed);
-    }
-
-    /// Block (yielding) until core `id` at `now` is within the skew bound
-    /// of the slowest active core, or the run is cancelled.
-    pub fn wait_turn(&self, id: usize, now: u64) {
-        self.publish(id, now);
-        loop {
-            let min_other = self
-                .clocks
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != id)
-                .map(|(_, c)| c.load(Ordering::Relaxed))
-                .min()
-                .unwrap_or(u64::MAX);
-            if now <= min_other.saturating_add(self.quantum) {
-                return;
-            }
-            // A trapped peer never advances its clock; the token is the
-            // only exit from this loop in that case.
-            if self.is_cancelled() {
-                return;
-            }
-            std::thread::yield_now();
+impl Recorder {
+    fn push(&mut self, ev: Event) {
+        self.chunk.push(ev);
+        if self.chunk.len() == CHUNK_EVENTS {
+            self.flush();
         }
     }
 
-    /// Mark core `id` as finished: it no longer gates others.
-    pub fn finish(&self, id: usize) {
-        self.clocks[id].store(u64::MAX, Ordering::Relaxed);
+    fn flush(&mut self) {
+        if self.chunk.is_empty() {
+            return;
+        }
+        let full = std::mem::replace(&mut self.chunk, Vec::with_capacity(CHUNK_EVENTS));
+        // Sending fails only once the scheduler has gone (it panicked);
+        // the events have no consumer left, so dropping them is right.
+        let _ = self.tx.send(full);
+    }
+}
+
+impl MemoryModel for Recorder {
+    fn load(&mut self, pc: OpId, addr: u64, _bytes: u8) {
+        self.push(Event::Load { pc, addr });
+    }
+
+    fn store(&mut self, pc: OpId, addr: u64, _bytes: u8) {
+        self.push(Event::Store { pc, addr });
+    }
+
+    fn prefetch(&mut self, _pc: OpId, addr: u64, locality: u8, _write: bool) {
+        self.push(Event::Prefetch { addr, locality });
+    }
+
+    fn retire(&mut self, n: u64) {
+        self.push(Event::Retire(n));
+    }
+
+    fn retire_fp(&mut self, n: u64) {
+        self.push(Event::RetireFp(n));
     }
 }
 
@@ -118,79 +106,131 @@ impl MulticoreResult {
     }
 }
 
-/// Run `work(core_id, machine)` on `n_threads` cores sharing one uncore.
-pub fn run_parallel<F>(
+/// Run `work(core_id, recorder)` on `n_threads` cores sharing one
+/// uncore. A core whose work returns an error stops producing events
+/// (the scheduler sees its stream end); once every core is done, the
+/// error of the lowest-numbered failing core is returned.
+pub fn run_parallel<F, E>(
     cfg: GracemontConfig,
     pf: PrefetcherConfig,
     n_threads: usize,
     work: F,
-) -> MulticoreResult
+) -> Result<MulticoreResult, E>
 where
-    F: Fn(usize, &mut Machine) + Sync,
-{
-    run_parallel_governed(cfg, pf, n_threads, None, work)
-}
-
-/// [`run_parallel`] with an optional cancellation token shared between
-/// the clock sync and the caller's [`asap_ir::Budget`] clones. When one
-/// core trips its budget (or an external deadline fires), the token
-/// releases every peer's `wait_turn` spin so the run winds down instead
-/// of deadlocking on the trapped core's frozen clock.
-pub fn run_parallel_governed<F>(
-    cfg: GracemontConfig,
-    pf: PrefetcherConfig,
-    n_threads: usize,
-    cancel: Option<Arc<AtomicBool>>,
-    work: F,
-) -> MulticoreResult
-where
-    F: Fn(usize, &mut Machine) + Sync,
+    F: Fn(usize, &mut Recorder) -> Result<(), E> + Sync,
+    E: Send,
 {
     assert!(n_threads >= 1);
-    let uncore = Uncore::shared(&cfg, &pf);
-    let sync = ClockSync::with_cancel(n_threads, ClockSync::DEFAULT_QUANTUM, cancel);
-    let per_core: Vec<Counters> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(n_threads);
+    let mut cores: Vec<Core> = (0..n_threads).map(|_| Core::new(cfg, pf)).collect();
+    let mut uncore = Uncore::new(&cfg, &pf);
+    std::thread::scope(|s| {
+        let mut streams = Vec::with_capacity(n_threads);
+        let mut producers = Vec::with_capacity(n_threads);
         for tid in 0..n_threads {
-            let uncore = uncore.clone();
-            let sync = sync.clone();
+            let (tx, rx) = sync_channel(CHANNEL_DEPTH);
             let work = &work;
-            handles.push(s.spawn(move || {
-                let mut m = Machine::with_uncore(cfg, pf, uncore);
-                m.attach_clock_sync(sync.clone(), tid);
-                work(tid, &mut m);
-                sync.finish(tid);
-                m.counters()
+            producers.push(s.spawn(move || {
+                let mut rec = Recorder {
+                    chunk: Vec::with_capacity(CHUNK_EVENTS),
+                    tx,
+                };
+                let done = work(tid, &mut rec);
+                rec.flush();
+                done
             }));
+            streams.push(rx);
         }
-        handles
+        schedule(&mut cores, &mut uncore, &streams);
+        producers
             .into_iter()
-            .map(|h| h.join().expect("core thread panicked"))
-            .collect()
-    });
+            .try_for_each(|p| p.join().expect("core thread panicked"))
+    })?;
+    let per_core: Vec<Counters> = cores.iter().map(Core::counters).collect();
     let mut aggregate = Counters::default();
     for c in &per_core {
         aggregate.merge_parallel(c);
     }
-    let dram_bytes = uncore.lock().expect("uncore lock").dram.bytes_transferred();
-    MulticoreResult {
+    Ok(MulticoreResult {
         per_core,
         aggregate,
-        dram_bytes,
+        dram_bytes: uncore.dram.bytes_transferred(),
+    })
+}
+
+/// Apply every core's events in `(clock, core_id)` order until all
+/// streams have ended.
+fn schedule(cores: &mut [Core], uncore: &mut Uncore, streams: &[Receiver<Vec<Event>>]) {
+    let mut pending: Vec<std::vec::IntoIter<Event>> =
+        cores.iter().map(|_| Vec::new().into_iter()).collect();
+    // Every core with events left except the running one, by (clock, id).
+    let mut waiting: BinaryHeap<Reverse<(u64, usize)>> =
+        (1..cores.len()).map(|k| Reverse((0, k))).collect();
+    let mut k = 0;
+    loop {
+        // Only core k's clock moves while it runs, so it stays the
+        // minimum until its `(clock, id)` passes the runner-up's.
+        let bound = waiting.peek().map_or((u64::MAX, usize::MAX), |r| r.0);
+        let (core, events) = (&mut cores[k], &mut pending[k]);
+        let passed = loop {
+            let Some(ev) = events.next() else {
+                match streams[k].recv() {
+                    Ok(chunk) => {
+                        *events = chunk.into_iter();
+                        continue;
+                    }
+                    // Stream closed: core k has retired its last event.
+                    Err(_) => break false,
+                }
+            };
+            match ev {
+                Event::Load { pc, addr } => core.demand(uncore, pc, addr, false),
+                Event::Store { pc, addr } => core.demand(uncore, pc, addr, true),
+                Event::Prefetch { addr, locality } => core.sw_prefetch(uncore, addr, locality),
+                Event::Retire(n) => core.bump_instr(n),
+                Event::RetireFp(n) => core.retire_fp(n),
+            }
+            if (core.cycles(), k) > bound {
+                break true;
+            }
+        };
+        k = if passed {
+            // The runner-up runs next; core k takes its place in the heap.
+            let mut top = waiting.peek_mut().expect("a finite bound has a heap entry");
+            std::mem::replace(&mut *top, Reverse((core.cycles(), k)))
+                .0
+                 .1
+        } else {
+            match waiting.pop() {
+                Some(Reverse((_, next))) => next,
+                None => return,
+            }
+        };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asap_ir::{MemoryModel, OpId};
 
     fn cfg() -> GracemontConfig {
         GracemontConfig::scaled()
     }
 
+    /// [`run_parallel`] for work that cannot fail.
+    fn run(
+        pf: PrefetcherConfig,
+        n_threads: usize,
+        work: impl Fn(usize, &mut Recorder) + Sync,
+    ) -> MulticoreResult {
+        run_parallel(cfg(), pf, n_threads, |tid, m| {
+            work(tid, m);
+            Ok::<(), ()>(())
+        })
+        .unwrap()
+    }
+
     /// Each core streams over a disjoint 1 MiB region.
-    fn stream_work(tid: usize, m: &mut Machine) {
+    fn stream_work(tid: usize, m: &mut Recorder) {
         let base = 0x1000_0000u64 + tid as u64 * 0x40_0000;
         for i in 0..16_384u64 {
             m.load(OpId(1), base + i * 64, 8);
@@ -198,10 +238,24 @@ mod tests {
         }
     }
 
+    /// Core 1 retires local work first, then every core loads the same
+    /// 4096 lines.
+    fn head_start_work(tid: usize, m: &mut Recorder) {
+        if tid == 1 {
+            for i in 0..50_000 {
+                m.retire(1 + (i % 2));
+            }
+        }
+        for i in 0..4096u64 {
+            m.load(OpId(1), 0x2000_0000 + i * 64, 8);
+            m.retire(8);
+        }
+    }
+
     #[test]
     fn more_threads_do_more_total_work_in_similar_time() {
-        let r1 = run_parallel(cfg(), PrefetcherConfig::all_off(), 1, stream_work);
-        let r4 = run_parallel(cfg(), PrefetcherConfig::all_off(), 4, stream_work);
+        let r1 = run(PrefetcherConfig::all_off(), 1, stream_work);
+        let r4 = run(PrefetcherConfig::all_off(), 4, stream_work);
         assert_eq!(r4.per_core.len(), 4);
         assert_eq!(r4.aggregate.loads, 4 * r1.aggregate.loads);
         // Four streaming cores share DRAM bandwidth: wall clock grows, but
@@ -215,8 +269,8 @@ mod tests {
         // With the streamers running ahead, each core consumes lines far
         // faster than its demand-serial pace; 8 such streams oversubscribe
         // the DRAM interval and wall-clock time degrades.
-        let r1 = run_parallel(cfg(), PrefetcherConfig::hw_default(), 1, stream_work);
-        let r8 = run_parallel(cfg(), PrefetcherConfig::hw_default(), 8, stream_work);
+        let r1 = run(PrefetcherConfig::hw_default(), 1, stream_work);
+        let r8 = run(PrefetcherConfig::hw_default(), 8, stream_work);
         assert!(
             r8.aggregate.cycles > r1.aggregate.cycles * 11 / 10,
             "8 streams must contend: {} vs {}",
@@ -229,19 +283,7 @@ mod tests {
     fn shared_l3_lets_cores_reuse_each_others_lines() {
         // Core 0 touches a region; all cores then touch the same region.
         // With a shared L3, later cores hit in L3 far more than DRAM.
-        let r = run_parallel(cfg(), PrefetcherConfig::all_off(), 2, |tid, m| {
-            let base = 0x2000_0000u64;
-            if tid == 1 {
-                // Give core 0 a head start by doing local work first.
-                for i in 0..50_000 {
-                    m.retire(1 + (i % 2));
-                }
-            }
-            for i in 0..4096u64 {
-                m.load(OpId(1), base + i * 64, 8);
-                m.retire(8);
-            }
-        });
+        let r = run(PrefetcherConfig::all_off(), 2, head_start_work);
         let total_dram: u64 = r.aggregate.dram_hits;
         // Both cores demanded 4096 distinct lines; with sharing the total
         // DRAM demand hits stay well below 2 * 4096.
@@ -252,35 +294,47 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_wait_turn_returns_despite_skew() {
-        let cancel = Arc::new(AtomicBool::new(true));
-        let sync = ClockSync::with_cancel(2, 256, Some(cancel));
-        // Core 1 is 100k cycles ahead of core 0 (still at 0): without the
-        // token this would spin until core 0 advanced. It must return.
-        sync.wait_turn(1, 100_000);
-        assert!(sync.is_cancelled());
+    fn interleaving_is_deterministic() {
+        let a = run(PrefetcherConfig::hw_default(), 3, head_start_work);
+        let b = run(PrefetcherConfig::hw_default(), 3, head_start_work);
+        assert_eq!(a.per_core, b.per_core);
+        assert_eq!(a.dram_bytes, b.dram_bytes);
     }
 
     #[test]
-    fn governed_run_with_untripped_token_matches_plain_run() {
-        let cancel = Arc::new(AtomicBool::new(false));
-        let r = run_parallel_governed(
-            cfg(),
-            PrefetcherConfig::all_off(),
-            2,
-            Some(cancel.clone()),
-            stream_work,
-        );
-        assert_eq!(r.per_core.len(), 2);
-        assert_eq!(r.aggregate.loads, 2 * 16_384);
-        assert!(!cancel.load(Ordering::Relaxed));
+    fn shared_lines_go_to_the_core_with_the_earlier_clock() {
+        // Both cores load the same lines at the same pace, but core 1
+        // starts 1000 cycles late: every line's DRAM miss is core 0's,
+        // and core 1 finds each one in L3.
+        let r = run(PrefetcherConfig::all_off(), 2, |tid, m| {
+            if tid == 1 {
+                m.retire(3000);
+            }
+            for i in 0..256u64 {
+                m.load(OpId(1), 0x3000_0000 + i * 64, 8);
+                m.retire(3000);
+            }
+        });
+        assert_eq!(r.per_core[0].dram_hits, 256);
+        assert_eq!(r.per_core[1].dram_hits, 0);
+        assert_eq!(r.per_core[1].l3_hits, 256);
+    }
+
+    #[test]
+    fn first_failing_core_in_id_order_reports_its_error() {
+        let r = run_parallel(cfg(), PrefetcherConfig::all_off(), 4, |tid, m| {
+            stream_work(tid, m);
+            if tid % 2 == 1 {
+                return Err(tid);
+            }
+            Ok(())
+        });
+        assert_eq!(r.unwrap_err(), 1);
     }
 
     #[test]
     fn seconds_scale_with_frequency() {
-        let r = run_parallel(cfg(), PrefetcherConfig::all_off(), 1, |_, m| {
-            m.retire(2_400_000);
-        });
+        let r = run(PrefetcherConfig::all_off(), 1, |_, m| m.retire(2_400_000));
         let s = r.seconds(&cfg());
         assert!((s - 2_400_000.0 / 3.0 / 2.4e9).abs() < 1e-9);
     }

@@ -154,6 +154,9 @@ fn analyzer_matches_hand_computed_golden() {
 /// known access pattern, traced through a real ASaP-prefetched SpMV.
 #[test]
 fn analyzer_on_hand_built_csr_is_deterministic_and_labeled() {
+    // Its runs open `exec` spans, which must not land in the trace of a
+    // test that has the recorder enabled.
+    let _g = lock();
     // row 0: cols 0,2; row 1: col 1; row 2: cols 0,3; row 3: col 3
     let mut tri = Triplets::new(4, 4);
     for &(r, c, v) in &[
